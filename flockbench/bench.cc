@@ -88,6 +88,14 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
+std::string JsonList(const std::vector<double>& values) {
+  std::string out = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    out += (i ? ", " : "") + JsonNumber(values[i]);
+  }
+  return out + "]";
+}
+
 std::string JsonString(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {
@@ -214,11 +222,7 @@ bool TimedSetups(int repeats, const std::function<bool()>& setup_once,
     if (!setup_once()) return false;
     seconds.push_back(SecondsSince(start));
   }
-  std::string json = "[";
-  for (size_t i = 0; i < seconds.size(); ++i) {
-    json += (i ? ", " : "") + JsonNumber(seconds[i]);
-  }
-  report->Record("setup_seconds", json + "]");
+  report->Record("setup_seconds", JsonList(seconds));
   report->Metric("setup_s", Median(seconds), "s");
   return true;
 }

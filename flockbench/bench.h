@@ -78,6 +78,8 @@ class Report {
 
 std::string JsonNumber(double v);
 std::string JsonString(const std::string& s);
+/// [v0, v1, ...] with every number as JsonNumber writes it.
+std::string JsonList(const std::vector<double>& values);
 /// {"n":..,"p50":..,"tail":..,"tail_pct":..,"tail_beyond":..,...} in ms.
 std::string JsonSummary(const LatencySummary& s);
 

@@ -98,6 +98,7 @@ WindowedLatency SummarizeWindows(
     p50s.push_back(SortedPercentile(w, 50.0));
     if (out.tail_pct > 0.0) tails.push_back(SortedPercentile(w, out.tail_pct));
   }
+  out.window_tails = tails;
   out.p50 = Percentile(std::move(p50s), 50.0);
   out.tail = Percentile(std::move(tails), 50.0);
   return out;

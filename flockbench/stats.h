@@ -56,6 +56,8 @@ struct WindowedLatency {
   double tail_pct = 0.0;
   size_t windows = 0;
   size_t min_window_samples = 0;
+  /// Each window's tail, in time order.
+  std::vector<double> window_tails;
 };
 
 /// `samples` holds (time in seconds since the phase began, latency in ms).

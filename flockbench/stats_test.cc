@@ -60,6 +60,10 @@ TEST(WindowTest, OneStalledWindowDoesNotMoveTheMedian) {
   EXPECT_EQ(l.tail_pct, 90);
   EXPECT_NEAR(l.p50, 1.49, 1e-9);
   EXPECT_NEAR(l.tail, 1.89, 1e-9);
+  // Each window's own tail, in time order, stalled window included.
+  ASSERT_EQ(l.window_tails.size(), 5u);
+  EXPECT_NEAR(l.window_tails[0], 1.89, 1e-9);
+  EXPECT_NEAR(l.window_tails[2], 139.0, 1e-9);
 }
 
 TEST(OpenLoopTest, LatencyIsTimedFromDueTime) {
