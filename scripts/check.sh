@@ -19,10 +19,14 @@
 # bitwise differential, scoring bug-sweep regressions, and the serving
 # micro-batcher's coalescing concurrency), and the cancellation suite
 # (ctest label `cancel`: deadlines, `.kill`, queued-request shed, and
-# the abandon paths those create).
+# the abandon paths those create). An UndefinedBehaviorSanitizer stage
+# runs the `kernel` label and the ML suites: the flattened tree walk
+# indexes node arrays with computed child indices, and UBSan flags any
+# overflow or out-of-range shift on the way.
 #
 # Usage: scripts/check.sh
-#          [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]
+#          [--asan-only|--no-asan|--tsan-only|--no-tsan|--ubsan-only|
+#           --no-ubsan|--recovery-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,16 +34,20 @@ cd "$(dirname "$0")/.."
 RUN_PLAIN=1
 RUN_ASAN=1
 RUN_TSAN=1
+RUN_UBSAN=1
 RUN_RECOVERY=1
 case "${1:-}" in
-  --asan-only) RUN_PLAIN=0; RUN_TSAN=0; RUN_RECOVERY=0 ;;
+  --asan-only) RUN_PLAIN=0; RUN_TSAN=0; RUN_UBSAN=0; RUN_RECOVERY=0 ;;
   --no-asan) RUN_ASAN=0 ;;
-  --tsan-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_RECOVERY=0 ;;
+  --tsan-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_UBSAN=0; RUN_RECOVERY=0 ;;
   --no-tsan) RUN_TSAN=0 ;;
-  --recovery-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_TSAN=0 ;;
+  --ubsan-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_TSAN=0; RUN_RECOVERY=0 ;;
+  --no-ubsan) RUN_UBSAN=0 ;;
+  --recovery-only) RUN_PLAIN=0; RUN_ASAN=0; RUN_TSAN=0; RUN_UBSAN=0 ;;
   "") ;;
   *)
-    echo "usage: $0 [--asan-only|--no-asan|--tsan-only|--no-tsan|--recovery-only]" >&2
+    echo "usage: $0 [--asan-only|--no-asan|--tsan-only|--no-tsan|" \
+      "--ubsan-only|--no-ubsan|--recovery-only]" >&2
     exit 2
     ;;
 esac
@@ -169,6 +177,20 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L lifecycle
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'DeployRollbackRacesConcurrentScorers'
+fi
+
+if [[ "$RUN_UBSAN" == 1 ]]; then
+  echo "== UBSan kernel stage: flattened tree walk + ML suites =="
+  # halt_on_error turns every UBSan report into a test failure; without
+  # it the sanitizer prints and the test still passes.
+  cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j "$JOBS" --target kernel_test ml_test \
+    ml_property_test
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
+  build-ubsan/tests/ml_test
+  build-ubsan/tests/ml_property_test
+  unset UBSAN_OPTIONS
 fi
 
 if [[ "$RUN_RECOVERY" == 1 ]]; then

@@ -1,6 +1,7 @@
 #ifndef FLOCK_FLOCK_CROSS_OPTIMIZER_H_
 #define FLOCK_FLOCK_CROSS_OPTIMIZER_H_
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 
@@ -38,6 +39,15 @@ class CrossOptimizer {
     bool predicate_pushup = true;
     bool feature_pruning = true;
     bool model_compression = true;
+
+    /// Distinct for every combination of the rules above (a new rule
+    /// must add its bit); the plan cache keys on it.
+    uint64_t Fingerprint() const {
+      return uint64_t{separate_ml_predicates} |
+             uint64_t{predicate_pushup} << 1 |
+             uint64_t{feature_pruning} << 2 |
+             uint64_t{model_compression} << 3;
+    }
   };
 
   explicit CrossOptimizer(ModelRegistry* models)

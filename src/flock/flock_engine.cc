@@ -48,14 +48,18 @@ FlockEngine::FlockEngine(FlockEngineOptions options)
       cross_optimizer_(&models_, options.cross),
       context_(std::make_shared<ScoringContext>()),
       enable_cross_optimizer_(options.enable_cross_optimizer) {
-  context_->runtime = options.runtime;
-
   RegisterPredictFunctions(sql_engine_.functions(), &models_, context_);
 
-  sql_engine_.set_plan_rewriter([this](sql::PlanPtr* plan) -> Status {
-    if (!enable_cross_optimizer_) return Status::OK();
-    return cross_optimizer_.Rewrite(plan);
-  });
+  sql_engine_.set_plan_rewriter(
+      [this](sql::PlanPtr* plan) -> Status {
+        if (!enable_cross_optimizer_) return Status::OK();
+        return cross_optimizer_.Rewrite(plan);
+      },
+      [this]() -> uint64_t {
+        // Off is 0; on, bit 4 keeps an all-rules-off optimizer distinct.
+        if (!enable_cross_optimizer_) return 0;
+        return uint64_t{1} << 4 | cross_optimizer_.options().Fingerprint();
+      });
 
   sql_engine_.set_model_ddl_handler(
       [this](const sql::CreateModelStatement& stmt) -> Status {

@@ -39,7 +39,6 @@ std::string RolloutCandidateKey(const std::string& model);
 struct FlockEngineOptions {
   sql::EngineOptions sql;
   CrossOptimizer::Options cross;
-  RuntimeSelectionOptions runtime;
   /// Master switch for the SQLxML cross-optimizer. Off = "SONNX" config
   /// (in-DB inference, relational optimizations only); on = "SONNX-ext".
   bool enable_cross_optimizer = true;
@@ -213,6 +212,8 @@ class FlockEngine {
   ModelRegistry* models() { return &models_; }
   CrossOptimizer* cross_optimizer() { return &cross_optimizer_; }
 
+  /// The plan cache keys on this switch and on the cross-optimizer's
+  /// options, so changing either never replays a plan made before.
   void set_enable_cross_optimizer(bool on) {
     enable_cross_optimizer_ = on;
   }

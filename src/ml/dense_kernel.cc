@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/cancel.h"
 
@@ -50,11 +52,19 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
         step.weights = node.gemm_weights;
         step.bias = node.gemm_bias;
         break;
-      case OpType::kTreeEnsemble:
-        step.trees = node.trees;
+      case OpType::kTreeEnsemble: {
         step.tree_base = node.tree_base;
         step.tree_average = node.tree_average;
+        Status flattened = FlattenTrees(node.trees, &step);
+        if (!flattened.ok()) {
+          status_ = Status::InvalidArgument("dense kernel: node " +
+                                            std::to_string(i) + ": " +
+                                            flattened.message());
+          steps_.clear();
+          return;
+        }
         break;
+      }
       case OpType::kSigmoid:
       case OpType::kRelu:
       case OpType::kIdentity:
@@ -74,6 +84,110 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
   }
   if (steps_.empty()) {
     status_ = Status::InvalidArgument("dense kernel: empty plan");
+  }
+}
+
+Status DenseKernel::FlattenTrees(const std::vector<Tree>& trees,
+                                 Step* step) {
+  size_t total = 0;
+  for (const Tree& tree : trees) total += tree.size();
+  // children[2 * p + 1] must stay addressable as int32.
+  if (total > static_cast<size_t>(INT32_MAX / 2)) {
+    return Status::InvalidArgument("ensemble has too many tree nodes");
+  }
+  step->split_feature.reserve(total);
+  step->split_threshold.reserve(total);
+  step->children.reserve(2 * total);
+  step->node_value.reserve(total);
+  for (size_t t = 0; t < trees.size(); ++t) {
+    const std::vector<TreeNode>& nodes = trees[t].nodes;
+    const std::string where = "tree " + std::to_string(t);
+    if (nodes.empty()) return Status::InvalidArgument(where + " is empty");
+    const int32_t root = static_cast<int32_t>(step->node_value.size());
+    // Children come after their parent, so one forward pass sees every
+    // parent's level before its children's.
+    std::vector<int32_t> level(nodes.size(), -1);
+    level[0] = 0;
+    int32_t depth = 0;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const TreeNode& node = nodes[i];
+      const int32_t self = root + static_cast<int32_t>(i);
+      step->node_value.push_back(node.value);
+      depth = std::max(depth, level[i]);
+      if (node.is_leaf()) {
+        // Feature 0 is a safe read: a lane only steps past a leaf when
+        // some tree of the step splits, so in_cols >= 1.
+        step->split_feature.push_back(0);
+        step->split_threshold.push_back(0.0);
+        step->children.insert(step->children.end(), {self, self});
+        continue;
+      }
+      if (static_cast<size_t>(node.feature) >= step->in_cols) {
+        return Status::InvalidArgument(
+            where + " node " + std::to_string(i) + " splits on feature " +
+            std::to_string(node.feature) + " of " +
+            std::to_string(step->in_cols));
+      }
+      for (int32_t child : {node.left, node.right}) {
+        if (child <= static_cast<int32_t>(i) ||
+            static_cast<size_t>(child) >= nodes.size()) {
+          return Status::InvalidArgument(
+              where + " node " + std::to_string(i) + " has child " +
+              std::to_string(child) + ", not after it in the tree");
+        }
+        if (level[i] >= 0) {
+          int32_t& below = level[static_cast<size_t>(child)];
+          below = std::max(below, level[i] + 1);
+        }
+      }
+      step->split_feature.push_back(node.feature);
+      step->split_threshold.push_back(node.threshold);
+      step->children.insert(step->children.end(),
+                            {root + node.left, root + node.right});
+    }
+    step->tree_root.push_back(root);
+    step->tree_depth.push_back(depth);
+  }
+  return Status::OK();
+}
+
+void DenseKernel::WalkTrees(const Step& step, const double* x, size_t n,
+                            double* out) {
+  const int32_t* feature = step.split_feature.data();
+  const double* threshold = step.split_threshold.data();
+  const int32_t* children = step.children.data();
+  const double* value = step.node_value.data();
+  // Lane k walks tree k / n over row k % n: a full block puts one tree
+  // under every lane, a single row puts consecutive trees under them.
+  const size_t lanes = n * step.tree_root.size();
+  size_t tree = 0, r = 0;  // the next lane's (tree, row) pair
+  for (size_t k = 0; k < lanes; k += kGroupLanes) {
+    const double* row[kGroupLanes];
+    size_t dst[kGroupLanes];
+    int32_t p[kGroupLanes];
+    int32_t depth = 0;
+    for (size_t j = 0; j < kGroupLanes; ++j) {
+      row[j] = x + r * step.in_cols;
+      dst[j] = r;
+      p[j] = step.tree_root[tree];
+      depth = std::max(depth, step.tree_depth[tree]);
+      // Lanes past the last pair repeat it; their leaves are dropped.
+      if (k + j + 1 < lanes && ++r == n) {
+        r = 0;
+        ++tree;
+      }
+    }
+    for (int32_t level = 0; level < depth; ++level) {
+      for (size_t j = 0; j < kGroupLanes; ++j) {
+        const size_t q = static_cast<size_t>(p[j]);
+        p[j] = children[2 * q + !(row[j][feature[q]] < threshold[q])];
+      }
+    }
+    // Lanes run tree-major, so each row still adds tree 0, 1, ... in order.
+    const size_t m = std::min(kGroupLanes, lanes - k);
+    for (size_t j = 0; j < m; ++j) {
+      out[dst[j]] += value[static_cast<size_t>(p[j])];
+    }
   }
 }
 
@@ -137,19 +251,11 @@ const double* DenseKernel::Execute(size_t n,
         std::swap(cur, alt);
         break;
       case OpType::kTreeEnsemble: {
-        // Tree-major traversal: each tree's nodes stay cache-hot across
-        // the whole block. Per row the accumulation order is still
-        // tree 0, 1, ... so scores are bitwise identical to the row-major
-        // order GraphRuntime uses.
         for (size_t r = 0; r < n; ++r) alt[r] = step.tree_base;
-        for (const Tree& tree : step.trees) {
-          for (size_t r = 0; r < n; ++r) {
-            alt[r] += tree.Predict(cur + r * in_cols);
-          }
-        }
-        if (step.tree_average && !step.trees.empty()) {
+        WalkTrees(step, cur, n, alt);
+        if (step.tree_average && !step.tree_root.empty()) {
           const double norm =
-              1.0 / static_cast<double>(step.trees.size());
+              1.0 / static_cast<double>(step.tree_root.size());
           for (size_t r = 0; r < n; ++r) {
             alt[r] = step.tree_base + (alt[r] - step.tree_base) * norm;
           }

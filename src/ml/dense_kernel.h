@@ -1,6 +1,7 @@
 #ifndef FLOCK_ML_DENSE_KERNEL_H_
 #define FLOCK_ML_DENSE_KERNEL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status_or.h"
@@ -37,16 +38,30 @@ class DenseKernelScratch {
 ///  * `ScoreRow` scores a single dense row with zero allocation (given a
 ///    warmed scratch).
 ///  * `ScoreBatch` scores a whole matrix/morsel in one call, processing
-///    rows in blocks so elementwise steps run over contiguous buffers and
-///    tree ensembles traverse *tree-major* over the block (each tree's
-///    nodes stay hot in cache across the rows of the block). Summation
-///    order per row is unchanged, so results are bitwise identical to
-///    `ScoreRow` and to `GraphRuntime`.
+///    rows in blocks so elementwise steps run over contiguous buffers.
+///
+/// Tree ensembles are flattened at construction into one node array per
+/// step: split feature (`int32`), threshold (`double`), a child pair
+/// (`int32[2]`: below the threshold, then at/above it) and the node value,
+/// with each leaf pointing both children at itself. Each tree records its
+/// depth, so a walk is exactly `depth` steps of
+/// `p = children[2*p + !(x[feature[p]] < threshold[p])]` with no
+/// data-dependent branch: a lane that reaches a leaf early spins on it.
+/// NaN compares false, so it goes right exactly as in `Tree::Predict`.
+/// The walk takes the (tree, row) pairs of a block in tree-major order,
+/// `kGroupLanes` at a time, whose independent chains of loads overlap in
+/// the core. A 256-row block therefore walks each tree over groups of 8
+/// rows, while `ScoreRow` walks 8 trees of its one row at once; both run
+/// the same loop. Each row still adds tree 0, 1, ... in order, so scores
+/// are bitwise identical to `Tree::Predict`, `GraphRuntime` and
+/// `RowScorer`. Measured numbers are in DESIGN.md section 4e.
 ///
 /// Only linear single-input op chains are compiled (which is everything
 /// `Pipeline::Compile` and the cross-optimizer emit). Graphs using Concat
-/// or non-chain wiring leave the kernel in a not-ok state and callers fall
-/// back to `GraphRuntime`; `status()` says why.
+/// or non-chain wiring, and trees whose split feature is outside the
+/// step's input width or whose child does not come after its parent (the
+/// flattened walk relies on both), leave the kernel in a not-ok state and
+/// callers fall back to `GraphRuntime`; `status()` says why.
 class DenseKernel {
  public:
   /// Compiles `graph` into a dense step plan. The graph is only read
@@ -73,6 +88,8 @@ class DenseKernel {
 
   /// Rows per block in ScoreBatch; exposed for tests/benches.
   static constexpr size_t kBlockRows = 256;
+  /// (tree, row) pairs walked together by the tree-ensemble step.
+  static constexpr size_t kGroupLanes = 8;
 
  private:
   struct Step {
@@ -88,13 +105,26 @@ class DenseKernel {
     // kGemm
     Matrix weights;  // [out_cols x in_cols]
     std::vector<double> bias;
-    // kTreeEnsemble
-    std::vector<Tree> trees;
+    // kTreeEnsemble: every tree's nodes, concatenated (see class comment)
+    std::vector<int32_t> split_feature;
+    std::vector<double> split_threshold;
+    std::vector<int32_t> children;  // 2 per node, absolute indices
+    std::vector<double> node_value;
+    std::vector<int32_t> tree_root, tree_depth;
     double tree_base = 0.0;
     bool tree_average = false;
     // kBinarizer
     double binarizer_threshold = 0.5;
   };
+
+  /// Lowers `trees` into the flat arrays of `step` (whose in_cols is set);
+  /// rejects trees the walk could not traverse safely.
+  static Status FlattenTrees(const std::vector<Tree>& trees, Step* step);
+
+  /// Adds every tree's leaf value for the `n` rows at `x` (row-major,
+  /// step.in_cols wide) onto `out`, which holds each row's running sum.
+  static void WalkTrees(const Step& step, const double* x, size_t n,
+                        double* out);
 
   /// Runs all steps over `n` rows held densely in scratch buffer `a_`
   /// (row-major, in_cols wide). Leaves the output in whichever buffer the

@@ -168,18 +168,18 @@ StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
     recorder.emplace();
     trace_scope.emplace(&*recorder);
   }
-  // Prepared-statement fast path: a normalized-text hit returns a private
-  // clone of the optimized plan and skips parse/plan/optimize entirely.
-  // Bypassed while an observer is set — observers must see every parsed
-  // statement (eager provenance capture).
+  // Prepared-statement fast path: a hit on (normalized text, planner
+  // fingerprint) returns a private clone of the optimized plan and skips
+  // parse/plan/optimize entirely. Bypassed while an observer is set —
+  // observers must see every parsed statement (eager provenance capture).
   const bool use_cache =
       options_.enable_plan_cache && statement_observer_ == nullptr;
-  std::string cache_key;
+  PlanCacheKey cache_key;
   if (use_cache) {
     PlanPtr cached;
     {
       obs::ScopedSpan span("plan_cache.lookup");
-      cache_key = NormalizeSql(sql);
+      cache_key = {NormalizeSql(sql), PlannerFingerprint()};
       cached = plan_cache_.Lookup(cache_key);
     }
     if (cached != nullptr) {
@@ -187,7 +187,7 @@ StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
                              ExecuteCachedPlan(*cached, exec_opts.cancel));
       result.elapsed_ms = timer.ElapsedMillis();
       if (recorder.has_value()) result.trace = recorder->Snapshot();
-      MaybeRecordSlowQuery(result, sql, &cache_key);
+      MaybeRecordSlowQuery(result, sql, &cache_key.sql);
       if (options_.keep_query_log) AppendQueryLog(sql);
       return result;
     }
@@ -204,7 +204,7 @@ StatusOr<QueryResult> SqlEngine::Execute(const std::string& sql,
   result.elapsed_ms = timer.ElapsedMillis();
   if (recorder.has_value()) result.trace = recorder->Snapshot();
   MaybeRecordSlowQuery(result, sql,
-                       use_cache ? &cache_key : nullptr);
+                       use_cache ? &cache_key.sql : nullptr);
   if (options_.keep_query_log) AppendQueryLog(sql);
   if (statement_observer_) statement_observer_(sql, *stmt);
   return result;
@@ -281,7 +281,7 @@ StatusOr<QueryResult> SqlEngine::ExecuteScript(const std::string& sql) {
 
 StatusOr<QueryResult> SqlEngine::ExecuteStatement(
     const std::string& sql, const Statement& stmt,
-    const std::string* cache_key, const CancelToken& cancel) {
+    const PlanCacheKey* cache_key, const CancelToken& cancel) {
   // DML/DDL mutate in place and are not interruptible mid-statement
   // (see DESIGN.md "Cancellation contract"); the check here covers the
   // window between parse and the first mutation.
@@ -400,6 +400,12 @@ StatusOr<QueryResult> SqlEngine::ExecuteStatement(
   return Status::Internal("unhandled statement kind");
 }
 
+uint64_t SqlEngine::PlannerFingerprint() const {
+  const uint64_t rewriter =
+      rewriter_fingerprint_ ? rewriter_fingerprint_() : 0;
+  return HashCombine(rewriter, options_.enable_optimizer ? 1 : 0);
+}
+
 StatusOr<PlanPtr> SqlEngine::PlanQuery(const SelectStatement& stmt) {
   Planner planner(db_, &registry_);
   return planner.PlanSelect(stmt);
@@ -451,7 +457,7 @@ StatusOr<RecordBatch> SqlEngine::ExecutePhysical(PhysicalOperator* root,
 }
 
 StatusOr<QueryResult> SqlEngine::ExecuteSelect(
-    const SelectStatement& stmt, const std::string* cache_key,
+    const SelectStatement& stmt, const PlanCacheKey* cache_key,
     const CancelToken& cancel) {
   PlanPtr plan;
   {

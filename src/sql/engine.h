@@ -72,11 +72,11 @@ struct EngineOptions {
   bool enable_optimizer = true;
   /// Record every executed statement for lazy provenance capture.
   bool keep_query_log = true;
-  /// Prepared-statement plan cache keyed on normalized SQL text: SELECT
-  /// executions reuse the optimized logical plan, skipping
-  /// parse/plan/optimize. Invalidated on any DDL. Bypassed while a
-  /// statement observer is set (observers must see every parsed
-  /// statement).
+  /// Prepared-statement plan cache keyed on normalized SQL text and the
+  /// planner fingerprint: SELECT executions reuse the optimized logical
+  /// plan, skipping parse/plan/optimize. Invalidated on any DDL.
+  /// Bypassed while a statement observer is set (observers must see every
+  /// parsed statement).
   bool enable_plan_cache = true;
   size_t plan_cache_capacity = 256;
   /// Skip table segments whose zone maps disprove a scan's pushed-down
@@ -96,13 +96,15 @@ struct EngineOptions {
 /// Extension points used by the Flock layer (all optional):
 ///  * `functions()` — register PREDICT and other ML UDFs;
 ///  * `set_plan_rewriter` — the SQLxML cross-optimizer hook, invoked after
-///    built-in optimization and before execution;
+///    built-in optimization and before execution, with a fingerprint of
+///    its configuration for the plan-cache key;
 ///  * `set_model_ddl_handler` — CREATE/DROP MODEL delegation;
 ///  * `set_statement_observer` — eager provenance capture taps each
 ///    successfully executed statement.
 class SqlEngine {
  public:
   using PlanRewriter = std::function<Status(PlanPtr*)>;
+  using ConfigFingerprint = std::function<uint64_t()>;
   using CreateModelHandler =
       std::function<Status(const CreateModelStatement&)>;
   using DropModelHandler = std::function<Status(const DropModelStatement&)>;
@@ -158,9 +160,19 @@ class SqlEngine {
     return segments_pruned_total_.load(std::memory_order_relaxed);
   }
 
-  void set_plan_rewriter(PlanRewriter rewriter) {
+  /// `fingerprint` must return a different value whenever a change of
+  /// the rewriter's configuration could change the plan it makes.
+  void set_plan_rewriter(PlanRewriter rewriter,
+                         ConfigFingerprint fingerprint) {
     plan_rewriter_ = std::move(rewriter);
+    rewriter_fingerprint_ = std::move(fingerprint);
   }
+
+  /// Identifies every planner setting that shapes an optimized plan: the
+  /// built-in optimizer switch and the rewriter's fingerprint. Part of
+  /// every plan-cache key.
+  uint64_t PlannerFingerprint() const;
+
   void set_model_ddl_handler(CreateModelHandler create,
                              DropModelHandler drop) {
     create_model_handler_ = std::move(create);
@@ -179,14 +191,14 @@ class SqlEngine {
   }
 
  private:
-  /// `cache_key` is the normalized SQL text to cache an optimized SELECT
-  /// plan under, or nullptr to skip caching (scripts, subqueries).
+  /// `cache_key` is the key to cache an optimized SELECT plan under, or
+  /// nullptr to skip caching (scripts, subqueries).
   StatusOr<QueryResult> ExecuteStatement(const std::string& sql,
                                          const Statement& stmt,
-                                         const std::string* cache_key,
+                                         const PlanCacheKey* cache_key,
                                          const CancelToken& cancel = {});
   StatusOr<QueryResult> ExecuteSelect(const SelectStatement& stmt,
-                                      const std::string* cache_key,
+                                      const PlanCacheKey* cache_key,
                                       const CancelToken& cancel = {});
   StatusOr<QueryResult> ExecuteInsert(const InsertStatement& stmt);
   StatusOr<QueryResult> ExecuteUpdate(const UpdateStatement& stmt);
@@ -218,6 +230,7 @@ class SqlEngine {
   std::atomic<uint64_t> segments_pruned_total_{0};
 
   PlanRewriter plan_rewriter_;
+  ConfigFingerprint rewriter_fingerprint_;
   CreateModelHandler create_model_handler_;
   DropModelHandler drop_model_handler_;
   StatementObserver statement_observer_;

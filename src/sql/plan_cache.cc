@@ -56,7 +56,7 @@ std::string NormalizeSql(const std::string& sql) {
   return out;
 }
 
-PlanPtr PlanCache::Lookup(const std::string& key) {
+PlanPtr PlanCache::Lookup(const PlanCacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -68,7 +68,7 @@ PlanPtr PlanCache::Lookup(const std::string& key) {
   return it->second->second->Clone();
 }
 
-void PlanCache::Insert(const std::string& key, PlanPtr plan) {
+void PlanCache::Insert(const PlanCacheKey& key, PlanPtr plan) {
   if (capacity_ == 0 || plan == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);

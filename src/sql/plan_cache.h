@@ -2,17 +2,19 @@
 #define FLOCK_SQL_PLAN_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "sql/logical_plan.h"
 
 namespace flock::sql {
 
-/// Normalizes a SQL statement into a plan-cache key: whitespace runs
+/// Normalizes a SQL statement into the text of a plan-cache key: whitespace runs
 /// collapse to one space, `--` comments are stripped (they separate
 /// tokens like whitespace), everything outside single-quoted string
 /// literals is lower-cased, and a trailing ';' is dropped. A doubled
@@ -25,6 +27,18 @@ namespace flock::sql {
 ///   "SELECT id FROM t -- hot"   ->  "select id from t"
 ///   "SELECT 'don''t' FROM t"    ->  "select 'don''t' from t"
 std::string NormalizeSql(const std::string& sql);
+
+/// A plan-cache key: the normalized statement text plus a fingerprint of
+/// every planner setting that shapes the optimized plan (see
+/// SqlEngine::PlannerFingerprint). The same text planned under another
+/// configuration is another entry, so switching an optimizer or one of
+/// its rules on or off never replays a plan made under the old setting.
+struct PlanCacheKey {
+  std::string sql;
+  uint64_t config = 0;
+
+  bool operator==(const PlanCacheKey&) const = default;
+};
 
 /// Cumulative counters, readable while the cache is in use.
 struct PlanCacheStats {
@@ -40,7 +54,7 @@ struct PlanCacheStats {
 };
 
 /// Thread-safe LRU cache of optimized logical plans keyed by normalized
-/// SQL text — the prepared-statement path of the serving layer. A hit
+/// SQL text and planner configuration — the prepared-statement path of the serving layer. A hit
 /// skips parse/plan/optimize entirely; the caller still lowers the
 /// (cloned) plan to a fresh physical tree per execution, so concurrent
 /// executions of the same cached statement never share operator state.
@@ -60,12 +74,12 @@ class PlanCache {
 
   /// Returns a private clone of the cached plan for `key`, or nullptr on
   /// miss. Counts a hit/miss and refreshes LRU order.
-  PlanPtr Lookup(const std::string& key);
+  PlanPtr Lookup(const PlanCacheKey& key);
 
   /// Inserts (or replaces) the plan for `key`, evicting the least
   /// recently used entry when at capacity. The cache takes ownership;
   /// callers keep executing their own copy.
-  void Insert(const std::string& key, PlanPtr plan);
+  void Insert(const PlanCacheKey& key, PlanPtr plan);
 
   /// Drops every entry (DDL / model-redeploy invalidation).
   void Clear();
@@ -75,12 +89,17 @@ class PlanCache {
   PlanCacheStats stats() const;
 
  private:
-  using LruList = std::list<std::pair<std::string, PlanPtr>>;
+  using LruList = std::list<std::pair<PlanCacheKey, PlanPtr>>;
+  struct KeyHash {
+    size_t operator()(const PlanCacheKey& key) const {
+      return HashCombine(std::hash<std::string>{}(key.sql), key.config);
+    }
+  };
 
   size_t capacity_;
   mutable std::mutex mu_;
   LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> index_;
+  std::unordered_map<PlanCacheKey, LruList::iterator, KeyHash> index_;
   PlanCacheStats stats_;
 };
 

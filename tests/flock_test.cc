@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -332,14 +334,22 @@ TEST_F(FlockEngineTest, DeployRollbackRacesConcurrentScorers) {
   // exclusive lock, so every concurrent query must see a working model —
   // either the prior version or the restored one — and never fail.
   // Run under TSan to verify the cutover path is race-free.
+  //
+  // The race must actually happen: deploys start only once every scorer
+  // has finished a query, and continue until the scorers have finished
+  // kOverlap more queries while deploys were running.
+  constexpr int kScorers = 2;
+  constexpr int kMinDeploys = 10;
+  constexpr uint64_t kOverlap = 20;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> scored{0};
   std::atomic<uint64_t> failed{0};
+  std::atomic<uint64_t> per_scorer[kScorers] = {};
   std::mutex err_mu;
   std::string first_error;
   std::vector<std::thread> scorers;
-  for (int t = 0; t < 2; ++t) {
-    scorers.emplace_back([&] {
+  for (int t = 0; t < kScorers; ++t) {
+    scorers.emplace_back([&, t] {
       // The pause between queries leaves write-lock windows: glibc's
       // rwlock favors readers, so back-to-back shared acquisitions from
       // two threads would starve Commit's exclusive lock indefinitely.
@@ -348,6 +358,7 @@ TEST_F(FlockEngineTest, DeployRollbackRacesConcurrentScorers) {
                                  " FROM users LIMIT 4");
         if (r.ok()) {
           scored.fetch_add(1, std::memory_order_relaxed);
+          per_scorer[t].fetch_add(1, std::memory_order_release);
         } else {
           failed.fetch_add(1, std::memory_order_relaxed);
           std::lock_guard<std::mutex> lock(err_mu);
@@ -357,19 +368,72 @@ TEST_F(FlockEngineTest, DeployRollbackRacesConcurrentScorers) {
       }
     });
   }
-  for (int i = 0; i < 10; ++i) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(60);
+  auto scorers_ready = [&] {
+    for (const auto& n : per_scorer) {
+      if (n.load(std::memory_order_acquire) == 0) return false;
+    }
+    return true;
+  };
+  while (!scorers_ready() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t before = scored.load(std::memory_order_acquire);
+  uint64_t during = 0;
+  for (int i = 0;
+       (i < kMinDeploys || during < kOverlap) &&
+       std::chrono::steady_clock::now() < give_up;
+       ++i) {
     DeployTransaction txn = engine_.BeginDeployment();
     txn.StageRegister("churn", pipeline_, "tester", "race-candidate");
     txn.StageDrop("does_not_exist");  // forces failure + undo-restore
     EXPECT_EQ(txn.Commit().code(), StatusCode::kAborted);
+    during = scored.load(std::memory_order_acquire) - before;
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : scorers) t.join();
+  EXPECT_TRUE(scorers_ready()) << "a scorer never completed a query";
   EXPECT_EQ(failed.load(), 0u) << first_error;
   EXPECT_GT(scored.load(), 0u);
+  EXPECT_GE(during, kOverlap) << "too few queries overlapped the deploys";
   // The undo left churn serving its prior pipeline.
   auto ok = Exec("SELECT " + PredictCall() + " FROM users LIMIT 1");
   EXPECT_EQ(ok.batch.num_rows(), 1u);
+}
+
+TEST_F(FlockEngineTest, PlanCacheKeysOnCrossOptimizerConfig) {
+  // Switching the cross-optimizer, or one of its rules, must plan the same
+  // text afresh; switching back must find the first plan again.
+  const std::string query = "SELECT COUNT(*) FROM users WHERE age > 30 "
+                            "AND " + PredictCall() + " > 0.5";
+  sql::SqlEngine* sql = engine_.sql();
+  auto cached_plan = [&] {
+    sql::PlanPtr plan = sql->plan_cache()->Lookup(
+        {sql::NormalizeSql(query), sql->PlannerFingerprint()});
+    return plan == nullptr ? std::string("<none>") : plan->ToString();
+  };
+  auto run = [&](bool expect_cached) {
+    sql::QueryResult r = Exec(query);
+    EXPECT_EQ(r.from_plan_cache, expect_cached) << cached_plan();
+    return r.batch.num_rows() == 1 ? r.batch.column(0)->GetValue(0).int_value()
+                                   : -1;
+  };
+
+  const int64_t pushed = run(false);
+  EXPECT_NE(cached_plan().find("PREDICT_GT"), std::string::npos);
+  engine_.set_enable_cross_optimizer(false);
+  EXPECT_EQ(run(false), pushed);
+  EXPECT_EQ(cached_plan().find("PREDICT_GT"), std::string::npos);
+  engine_.set_enable_cross_optimizer(true);
+  EXPECT_EQ(run(true), pushed);
+
+  engine_.cross_optimizer()->mutable_options()->predicate_pushup = false;
+  EXPECT_EQ(run(false), pushed);
+  EXPECT_EQ(cached_plan().find("PREDICT_GT"), std::string::npos);
+  engine_.cross_optimizer()->mutable_options()->predicate_pushup = true;
+  EXPECT_EQ(run(true), pushed);
+  EXPECT_NE(cached_plan().find("PREDICT_GT"), std::string::npos);
 }
 
 TEST_F(FlockEngineTest, NullFeaturesGoThroughImputer) {
@@ -383,32 +447,37 @@ TEST_F(FlockEngineTest, NullFeaturesGoThroughImputer) {
   EXPECT_LE(s, 1.0);
 }
 
-TEST_F(FlockEngineTest, RuntimeSelectionSmallBatchMatchesVectorized) {
-  FlockEngineOptions options = MakeOptions();
-  options.runtime.small_batch_threshold = 1u << 30;  // force row path
-  FlockEngine row_engine(options);
-  // Rebuild schema/data/model in the second engine via SQL + API.
-  auto src = engine_.database()->GetTable("users");
-  ASSERT_TRUE(src.ok());
-  ASSERT_TRUE(row_engine.database()
-                  ->CreateTable("users", (*src)->schema())
-                  .ok());
-  auto dst = row_engine.database()->GetTable("users");
-  ASSERT_TRUE(dst.ok());
-  ASSERT_TRUE((*dst)->AppendBatch((*src)->ScanRange(0, 128)).ok());
-  ASSERT_TRUE(row_engine.DeployModel("churn", pipeline_).ok());
-  row_engine.set_enable_cross_optimizer(false);
-
-  auto interpreted = row_engine.Execute(
-      "SELECT " + PredictCall() + " FROM users ORDER BY id");
-  ASSERT_TRUE(interpreted.ok());
-  engine_.set_enable_cross_optimizer(false);
-  auto vectorized = Exec("SELECT " + PredictCall() +
-                         " FROM users ORDER BY id LIMIT 128");
-  ASSERT_EQ(interpreted->batch.num_rows(), 128u);
-  for (size_t i = 0; i < 128; ++i) {
-    EXPECT_NEAR(interpreted->batch.column(0)->double_at(i),
-                vectorized.batch.column(0)->double_at(i), 1e-9);
+TEST_F(FlockEngineTest, PredictMatchesPipelineScoreRowPerRow) {
+  // Every PREDICT scores through the compiled kernel, whatever the batch
+  // size; each row must match the eager per-row pipeline. 128 rows arrive
+  // as one batch, then a few one at a time (the point-lookup path).
+  auto expected = [&](const storage::RecordBatch& batch, size_t r,
+                      size_t first_feature) {
+    std::vector<double> raw(kNumeric + 1);
+    for (size_t c = 0; c < kNumeric; ++c) {
+      raw[c] = batch.column(first_feature + c)->double_at(r);
+    }
+    raw[kNumeric] = pipeline_.EncodeCategorical(
+        kNumeric, batch.column(first_feature + kNumeric)->string_at(r));
+    return pipeline_.ScoreRow(raw.data());
+  };
+  const std::string features =
+      "age, income, tenure, clicks, n0, n1, n2, n3, plan";
+  auto batch = Exec("SELECT " + PredictCall() + ", " + features +
+                    " FROM users ORDER BY id LIMIT 128");
+  ASSERT_EQ(batch.batch.num_rows(), 128u);
+  for (size_t r = 0; r < 128; ++r) {
+    EXPECT_NEAR(batch.batch.column(0)->double_at(r),
+                expected(batch.batch, r, 1), 1e-9)
+        << "row " << r;
+  }
+  for (int id = 0; id < 4000; id += 499) {
+    auto one = Exec("SELECT " + PredictCall() + ", " + features +
+                    " FROM users WHERE id = " + std::to_string(id));
+    ASSERT_EQ(one.batch.num_rows(), 1u);
+    EXPECT_NEAR(one.batch.column(0)->double_at(0),
+                expected(one.batch, 0, 1), 1e-9)
+        << "id " << id;
   }
 }
 

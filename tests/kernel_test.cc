@@ -8,7 +8,10 @@
 //     and the GraphRuntime produce BITWISE-identical scores. Not "close":
 //     the kernel replaced the named-row scorer on the serving hot path,
 //     so any ulp of drift would surface as nondeterministic predictions
-//     across deploys.
+//     across deploys. The flattened tree walk gets its own zoo: an
+//     unbalanced depth-10 forest, single-leaf trees, NaN reaching the
+//     splits, and row counts around the 8-lane group and 256-row block;
+//     malformed trees are rejected at construction.
 //
 //  2. Robustness bug-sweep: zero-variance scaler columns no longer divide
 //     by zero, rows missing features score as NaN-imputed instead of
@@ -23,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -255,6 +259,186 @@ TEST(DenseKernelTest, ScratchReuseAcrossModelsIsClean) {
   for (size_t r = 0; r < raw.rows(); ++r) {
     EXPECT_PRED2(BitEq, reused[r], expected[r]) << "row " << r;
   }
+}
+
+// ---------------------------------------------------------------------------
+// 1b. The flattened tree walk: shapes and row counts that stress it.
+
+/// Longest (or, with `shortest`, shortest) root-to-leaf path.
+size_t TreeDepth(const ml::Tree& tree, bool shortest = false,
+                 size_t node = 0) {
+  const ml::TreeNode& n = tree.nodes[node];
+  if (n.is_leaf()) return 0;
+  size_t left = TreeDepth(tree, shortest, static_cast<size_t>(n.left));
+  size_t right = TreeDepth(tree, shortest, static_cast<size_t>(n.right));
+  return 1 + (shortest ? std::min(left, right) : std::max(left, right));
+}
+
+/// Trains a 7-tree random forest over the zoo's inputs. `with_imputer` false
+/// leaves NaN inputs unfilled, so they reach the split nodes.
+Pipeline MakeTreePipeline(bool with_imputer, size_t max_depth,
+                          uint64_t seed) {
+  Pipeline pipeline;
+  std::vector<FeatureSpec> specs = NumericSpecs(4);
+  specs.push_back(
+      FeatureSpec{"seg", FeatureKind::kCategorical, {"a", "b", "c"}});
+  pipeline.SetInputs(std::move(specs));
+  pipeline.set_task(ml::ModelTask::kBinaryClassification);
+  Matrix raw = RandomRaw(600, 4, 3, seed);
+  pipeline.FitFeaturizers(raw, with_imputer, /*with_scaler=*/true);
+  Dataset features;
+  features.x = pipeline.Transform(raw);
+  // A quarter of the labels flipped: purifying them needs deep, ragged
+  // trees.
+  Random noise(seed + 1);
+  for (size_t r = 0; r < raw.rows(); ++r) {
+    bool label = raw.at(r, 0) * raw.at(r, 2) > 0.4;
+    if (noise.NextDouble() < 0.25) label = !label;
+    features.y.push_back(label ? 1.0 : 0.0);
+  }
+  ml::ForestOptions options;
+  options.num_trees = 7;
+  options.tree.max_depth = max_depth;
+  options.tree.min_samples_leaf = 1;
+  options.tree.seed = seed;
+  pipeline.SetTreeModel(TrainRandomForest(features, options));
+  return pipeline;
+}
+
+/// Scores the first `rows` rows of `raw` through the kernel's batch and
+/// single-row paths, RowScorer and GraphRuntime; all four must agree
+/// bitwise.
+void ExpectBitwiseOracle(const Pipeline& pipeline, const Matrix& all,
+                         size_t rows) {
+  SCOPED_TRACE(std::to_string(rows) + " rows");
+  Matrix raw(rows, all.cols());
+  for (size_t r = 0; r < rows; ++r) {
+    std::copy(all.row(r), all.row(r) + all.cols(), raw.row(r));
+  }
+  auto graph = pipeline.Compile();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  DenseKernel kernel(*graph);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  std::vector<double> interpreted = RowScorer(pipeline).ScoreAll(raw);
+  auto graph_scores = GraphRuntime(&*graph).RunToScores(raw);
+  ASSERT_TRUE(graph_scores.ok());
+  DenseKernelScratch scratch;
+  std::vector<double> batch;
+  ASSERT_TRUE(kernel.ScoreBatch(raw, &scratch, &batch).ok());
+  ASSERT_EQ(batch.size(), rows);
+  for (size_t r = 0; r < rows; ++r) {
+    EXPECT_PRED2(BitEq, batch[r], interpreted[r]) << "row " << r;
+    EXPECT_PRED2(BitEq, batch[r], (*graph_scores)[r]) << "row " << r;
+    EXPECT_PRED2(BitEq, batch[r], kernel.ScoreRow(raw.row(r), &scratch))
+        << "row " << r;
+  }
+}
+
+const size_t kOracleRowCounts[] = {1, 7, 8, 9, 255, 256, 257};
+
+TEST(DenseKernelTreeWalkTest, UnbalancedDeepForest) {
+  Pipeline pipeline = MakeTreePipeline(/*with_imputer=*/true, 10, 503);
+  size_t deepest = 0, widest_gap = 0;
+  for (const ml::Tree& tree : pipeline.tree_model().trees) {
+    deepest = std::max(deepest, TreeDepth(tree));
+    widest_gap = std::max(widest_gap, TreeDepth(tree) -
+                                          TreeDepth(tree, /*shortest=*/true));
+  }
+  EXPECT_EQ(deepest, 10u);
+  EXPECT_GE(widest_gap, 5u);  // leaves far apart in depth
+  Matrix raw = RandomRaw(300, 4, 3, 509, /*nan_fraction=*/0.1);
+  for (size_t rows : kOracleRowCounts) {
+    ExpectBitwiseOracle(pipeline, raw, rows);
+  }
+}
+
+TEST(DenseKernelTreeWalkTest, SingleLeafTreesAmongDeepOnes) {
+  Pipeline pipeline = MakeTreePipeline(/*with_imputer=*/true, 6, 521);
+  ml::TreeEnsembleModel model = pipeline.tree_model();
+  ml::Tree stump;
+  stump.nodes.push_back(ml::TreeNode{});
+  stump.nodes[0].value = 0.375;
+  model.trees.insert(model.trees.begin(), stump);
+  stump.nodes[0].value = -0.125;
+  model.trees.insert(model.trees.begin() + 3, stump);
+  model.trees.push_back(stump);
+  pipeline.SetTreeModel(model);
+  Matrix raw = RandomRaw(300, 4, 3, 523, /*nan_fraction=*/0.1);
+  for (size_t rows : kOracleRowCounts) {
+    ExpectBitwiseOracle(pipeline, raw, rows);
+  }
+
+  // Only single leaves: every group walks zero levels.
+  model.trees = {stump, stump};
+  pipeline.SetTreeModel(model);
+  for (size_t rows : kOracleRowCounts) {
+    ExpectBitwiseOracle(pipeline, raw, rows);
+  }
+}
+
+TEST(DenseKernelTreeWalkTest, NaNReachesSplitsWithoutImputer) {
+  Pipeline pipeline = MakeTreePipeline(/*with_imputer=*/false, 6, 541);
+  auto graph = pipeline.Compile();
+  ASSERT_TRUE(graph.ok());
+  for (const GraphNode& node : graph->nodes()) {
+    EXPECT_NE(node.op, OpType::kImputer);
+  }
+  Matrix raw = RandomRaw(300, 4, 3, 547, /*nan_fraction=*/0.3);
+  for (size_t r = 0; r < raw.rows(); r += 5) {
+    raw.at(r, 4) = std::nan("");  // NULL category: all one-hot slots 0
+  }
+  for (size_t rows : kOracleRowCounts) {
+    ExpectBitwiseOracle(pipeline, raw, rows);
+  }
+}
+
+/// Input(2) -> TreeEnsemble over one hand-built tree.
+ModelGraph OneTreeGraph(std::vector<ml::TreeNode> nodes) {
+  ModelGraph graph;
+  int input = graph.SetInput(2);
+  GraphNode ensemble;
+  ensemble.op = OpType::kTreeEnsemble;
+  ensemble.inputs = {input};
+  ensemble.trees.push_back(ml::Tree{std::move(nodes)});
+  graph.SetOutput(graph.AddNode(ensemble));
+  return graph;
+}
+
+ml::TreeNode Split(int32_t feature, int32_t left, int32_t right) {
+  ml::TreeNode node;
+  node.feature = feature;
+  node.threshold = 0.5;
+  node.left = left;
+  node.right = right;
+  return node;
+}
+
+ml::TreeNode Leaf(double value) {
+  ml::TreeNode node;
+  node.value = value;
+  return node;
+}
+
+TEST(DenseKernelTreeWalkTest, RejectsSplitFeatureBeyondInputWidth) {
+  ModelGraph graph = OneTreeGraph({Split(1, 1, 2), Leaf(1.0), Leaf(2.0)});
+  ASSERT_TRUE(graph.Finalize().ok());
+  EXPECT_TRUE(DenseKernel(graph).ok());
+  // Finalize would refuse this; the kernel must not rely on it.
+  graph.mutable_nodes()[1].trees[0].nodes[0].feature = 2;
+  DenseKernel kernel(graph);
+  EXPECT_FALSE(kernel.ok());
+  EXPECT_EQ(kernel.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DenseKernelTreeWalkTest, RejectsChildNotAfterParent) {
+  // Node 1 points back at the root: a cycle the fixed-depth walk could
+  // never bound.
+  ModelGraph graph = OneTreeGraph(
+      {Split(0, 1, 3), Split(1, 0, 2), Leaf(1.0), Leaf(2.0)});
+  ASSERT_TRUE(graph.Finalize().ok());
+  DenseKernel kernel(graph);
+  EXPECT_FALSE(kernel.ok());
+  EXPECT_EQ(kernel.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -414,17 +414,17 @@ TEST(PlanCacheTest, NormalizeSqlCollapsesLayoutAndCase) {
 TEST(PlanCacheTest, LruEvictionAtCapacity) {
   PlanCache cache(2);
   auto plan = [] { return std::make_unique<LogicalPlan>(); };
-  cache.Insert("a", plan());
-  cache.Insert("b", plan());
-  EXPECT_NE(cache.Lookup("a"), nullptr);  // refresh "a" -> LRU is "b"
-  cache.Insert("c", plan());
+  cache.Insert({"a", 0}, plan());
+  cache.Insert({"b", 0}, plan());
+  EXPECT_NE(cache.Lookup({"a", 0}), nullptr);  // refresh "a" -> LRU is "b"
+  cache.Insert({"c", 0}, plan());
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
+  EXPECT_EQ(cache.Lookup({"b", 0}), nullptr);
+  EXPECT_NE(cache.Lookup({"a", 0}), nullptr);
+  EXPECT_NE(cache.Lookup({"c", 0}), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.Lookup({"a", 0}), nullptr);
   PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 3u);
   EXPECT_GE(stats.invalidations, 2u);  // eviction of "b" + Clear()
@@ -432,12 +432,32 @@ TEST(PlanCacheTest, LruEvictionAtCapacity) {
 
 TEST(PlanCacheTest, LookupReturnsPrivateClones) {
   PlanCache cache(4);
-  cache.Insert("k", std::make_unique<LogicalPlan>());
-  PlanPtr first = cache.Lookup("k");
-  PlanPtr second = cache.Lookup("k");
+  cache.Insert({"k", 0}, std::make_unique<LogicalPlan>());
+  PlanPtr first = cache.Lookup({"k", 0});
+  PlanPtr second = cache.Lookup({"k", 0});
   ASSERT_NE(first, nullptr);
   ASSERT_NE(second, nullptr);
   EXPECT_NE(first.get(), second.get());
+}
+
+TEST(PlanCacheTest, SameTextUnderAnotherConfigIsAnotherEntry) {
+  PlanCache cache(4);
+  cache.Insert({"select 1", 1}, std::make_unique<LogicalPlan>());
+  EXPECT_EQ(cache.Lookup({"select 1", 2}), nullptr);
+  EXPECT_NE(cache.Lookup({"select 1", 1}), nullptr);
+}
+
+TEST_F(SqlEngineTest, PlanCacheKeysOnOptimizerSwitch) {
+  const std::string sql = "SELECT id FROM emp WHERE salary > 90";
+  const uint64_t on = engine_.PlannerFingerprint();
+  EXPECT_FALSE(Exec(sql).from_plan_cache);
+  EXPECT_TRUE(Exec(sql).from_plan_cache);
+  engine_.set_enable_optimizer(false);
+  EXPECT_NE(engine_.PlannerFingerprint(), on);
+  EXPECT_FALSE(Exec(sql).from_plan_cache) << "replayed the optimized plan";
+  engine_.set_enable_optimizer(true);
+  EXPECT_TRUE(Exec(sql).from_plan_cache);
+  EXPECT_EQ(engine_.plan_cache()->size(), 2u);
 }
 
 TEST_F(SqlEngineTest, PlanCacheHitSkipsPlanningAndMatchesResults) {
