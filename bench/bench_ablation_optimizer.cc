@@ -1,6 +1,9 @@
 // Ablation A (DESIGN.md): contribution of each cross-optimizer rule to
 // the Figure-4 "SONNX-ext" speedup. Each configuration enables one rule
-// (or all / none) and runs the Figure-4 threshold query.
+// (or all / none) and runs the Figure-4 threshold query. Exits non-zero
+// when a configuration's answer differs from the baseline's, or when the
+// all-rules run reports no filter split, predicate push-up or pruned
+// feature (the mechanisms the speedup rests on stopped firing).
 
 #include <cstdio>
 #include <string>
@@ -119,6 +122,16 @@ int main() {
       std::fprintf(stderr, "MISMATCH in %s\n", result.name.c_str());
       return 1;
     }
+  }
+  const CrossOptimizer::Stats& all_stats = results.back().stats;
+  if (all_stats.filters_split == 0 || all_stats.predicates_pushed_up == 0 ||
+      all_stats.features_pruned == 0) {
+    std::fprintf(stderr,
+                 "GATE: the all-rules run reported a zero rewrite counter "
+                 "(splits=%zu pushups=%zu pruned=%zu)\n",
+                 all_stats.filters_split, all_stats.predicates_pushed_up,
+                 all_stats.features_pruned);
+    return 1;
   }
   return 0;
 }

@@ -14,6 +14,10 @@
 // configurations run the equivalent SQL query directly. Export and
 // scoring time are reported separately.
 //
+// The bench exits non-zero when the configurations disagree on the
+// answer, or when SONNX-ext is not faster than SONNX at the largest size
+// (the cross-optimizer stopped paying for itself).
+//
 // NOTE on parallelism: the paper attributes up to 5.5x of the in-DB win
 // to automatic parallelization inside SQL Server. This host's hardware
 // concurrency is printed below; on a single-core machine that component
@@ -320,5 +324,12 @@ int main() {
   std::printf("\nper-operator breakdown of the in-DBMS configs at 1M "
               "rows:\n");
   EmitOperatorJson(sizes[3], configs_at_max);
+  if (sonnx_ext_at_max >= sonnx_at_max) {
+    std::fprintf(stderr,
+                 "GATE: SONNX-ext (%.2f ms) is not faster than SONNX "
+                 "(%.2f ms) at %zu rows\n",
+                 sonnx_ext_at_max, sonnx_at_max, sizes[3]);
+    return 1;
+  }
   return 0;
 }

@@ -20,9 +20,9 @@
 # micro-batcher's coalescing concurrency), and the cancellation suite
 # (ctest label `cancel`: deadlines, `.kill`, queued-request shed, and
 # the abandon paths those create). An UndefinedBehaviorSanitizer stage
-# runs the `kernel` label and the ML suites: the flattened tree walk
-# indexes node arrays with computed child indices, and UBSan flags any
-# overflow or out-of-range shift on the way.
+# runs every suite: the flattened tree walk indexes node arrays with
+# computed child indices, the threshold mode walks compacted row lists,
+# and UBSan flags any overflow or out-of-range shift on the way.
 #
 # Usage: scripts/check.sh
 #          [--asan-only|--no-asan|--tsan-only|--no-tsan|--ubsan-only|
@@ -180,17 +180,13 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
-  echo "== UBSan kernel stage: flattened tree walk + ML suites =="
+  echo "== UBSan build + ctest =="
   # halt_on_error turns every UBSan report into a test failure; without
   # it the sanitizer prints and the test still passes.
   cmake -B build-ubsan -S . -DFLOCK_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j "$JOBS" --target kernel_test ml_test \
-    ml_property_test
-  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
-  ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L kernel
-  build-ubsan/tests/ml_test
-  build-ubsan/tests/ml_property_test
-  unset UBSAN_OPTIONS
+  cmake --build build-ubsan -j "$JOBS"
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$RUN_RECOVERY" == 1 ]]; then

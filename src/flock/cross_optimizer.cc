@@ -541,7 +541,11 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
       std::string key = name + "#c" + scan->table_name + "v" +
                         std::to_string(scan->table->current_version()) +
                         "r" + range_key;
-      if (!models_->HasSpecialization(key)) {
+      auto existing = models_->GetSpecialization(key);
+      size_t removed = 0;
+      if (existing.ok()) {
+        removed = (*existing)->tree_nodes_removed;
+      } else {
         ModelEntry spec;
         spec.name = key;
         spec.base_name = entry->base_name.empty()
@@ -550,13 +554,14 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
         spec.pipeline = entry->pipeline;
         spec.graph = entry->graph;
         spec.input_mapping = entry->input_mapping;
-        size_t removed = ml::CompressTreesWithRanges(&spec.graph, ranges);
+        removed = ml::CompressTreesWithRanges(&spec.graph, ranges);
         if (removed == 0) return Status::OK();
-        stats_.tree_nodes_compressed += removed;
+        spec.tree_nodes_removed = removed;
         FLOCK_RETURN_NOT_OK(spec.graph.Finalize());
         FLOCK_RETURN_NOT_OK(
             models_->RegisterSpecialization(key, std::move(spec)));
       }
+      stats_.tree_nodes_compressed += removed;
       call->children[0] = Expr::MakeLiteral(Value::String(key));
       return Status::OK();
     });

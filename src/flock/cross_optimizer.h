@@ -19,9 +19,10 @@ namespace flock::flock {
 ///     the cheap data predicates run first and inference only touches
 ///     surviving rows.
 ///  2. **PredicatePushUp**: `PREDICT(m, ...) > t` becomes a
-///     `PREDICT_GT(m, t, ...)` intrinsic that folds a trailing sigmoid into
-///     the threshold and short-circuits boosted-tree traversal using suffix
-///     bounds.
+///     `PREDICT_GT(m, t, ...)` intrinsic, scored by the entry's kernel in
+///     threshold mode (`ml::DenseKernel::ScoreThreshold`): a trailing
+///     sigmoid is folded into the threshold and a boosted ensemble stops
+///     walking a row's trees once the kernel's suffix bounds decide it.
 ///  3. **FeaturePruning**: inputs the model provably ignores (model
 ///     sparsity) are dropped from the call; a compacted model
 ///     specialization is registered and the engine's projection pruning
@@ -64,7 +65,9 @@ class CrossOptimizer {
   const Options& options() const { return options_; }
 
   /// Rewrite statistics from the most recent Rewrite call (for EXPLAIN-
-  /// style diagnostics and the ablation benches). Read while quiescent;
+  /// style diagnostics and the ablation benches). A rewrite that reuses a
+  /// cached specialization counts its pruned features and compressed tree
+  /// nodes just like the rewrite that built it. Read while quiescent;
   /// not synchronized against an in-flight Rewrite.
   struct Stats {
     size_t filters_split = 0;

@@ -1,7 +1,5 @@
 #include "flock/model_registry.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace flock::flock {
@@ -27,32 +25,7 @@ void ModelRegistry::AnalyzeEntry(ModelEntry* entry) {
     entry->ends_with_sigmoid = true;
   }
   for (const ml::GraphNode& node : nodes) {
-    if (node.op == ml::OpType::kTreeEnsemble) {
-      entry->tree_node_id = node.id;
-      // Suffix bounds over tree leaf values (boosted-sum semantics).
-      const auto& trees = node.trees;
-      entry->bounds.suffix_min.assign(trees.size() + 1, 0.0);
-      entry->bounds.suffix_max.assign(trees.size() + 1, 0.0);
-      for (size_t i = trees.size(); i-- > 0;) {
-        double tree_min = 0.0, tree_max = 0.0;
-        bool first = true;
-        for (const ml::TreeNode& tn : trees[i].nodes) {
-          if (tn.is_leaf()) {
-            if (first) {
-              tree_min = tree_max = tn.value;
-              first = false;
-            } else {
-              tree_min = std::min(tree_min, tn.value);
-              tree_max = std::max(tree_max, tn.value);
-            }
-          }
-        }
-        entry->bounds.suffix_min[i] =
-            entry->bounds.suffix_min[i + 1] + tree_min;
-        entry->bounds.suffix_max[i] =
-            entry->bounds.suffix_max[i + 1] + tree_max;
-      }
-    }
+    if (node.op == ml::OpType::kTreeEnsemble) entry->tree_node_id = node.id;
   }
 }
 

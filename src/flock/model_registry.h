@@ -15,13 +15,6 @@
 
 namespace flock::flock {
 
-/// Bound limits for threshold short-circuiting: suffix min/max of remaining
-/// tree contributions, precomputed per model.
-struct TreeSuffixBounds {
-  std::vector<double> suffix_min;  // [i] = min of trees[i..]
-  std::vector<double> suffix_max;
-};
-
 /// Per-input training-time feature statistics, captured from the fitted
 /// pipeline when the model is registered. The lifecycle drift monitor
 /// compares live feature distributions against these; empty when the
@@ -59,16 +52,21 @@ struct ModelEntry {
   /// assembly uses this to pick the right encoding per argument.
   std::vector<size_t> input_mapping;
 
+  /// For compression specializations: decision-tree nodes folded away
+  /// relative to the entry this variant was derived from. Every rewrite
+  /// that applies the variant reports it, whether it built or reused it.
+  size_t tree_nodes_removed = 0;
+
   // --- precomputed scoring metadata ---
   /// True when the graph ends in Sigmoid (strippable for predicate
   /// push-up).
   bool ends_with_sigmoid = false;
   /// Index of the TreeEnsemble node, or -1.
   int tree_node_id = -1;
-  TreeSuffixBounds bounds;
   /// Compiled dense-slot scoring kernel (built by AnalyzeEntry; shared and
-  /// immutable, so entry copies stay cheap). Null or not-ok kernels fall
-  /// back to GraphRuntime in flock::ScoreBatch.
+  /// immutable, so entry copies stay cheap). It also holds the trees'
+  /// suffix bounds for threshold early exit. Null or not-ok kernels fall
+  /// back to GraphRuntime in flock::ScoreBatch and ScoreThresholdBatch.
   std::shared_ptr<const ml::DenseKernel> kernel;
   /// Training-time feature statistics (from the pipeline's scaler) for
   /// drift monitoring.
@@ -163,8 +161,8 @@ class ModelRegistry {
   const std::vector<AuditEvent>& audit_log() const { return audit_log_; }
 
   /// Fills `entry`'s precomputed scoring metadata (sigmoid detection, tree
-  /// node index, suffix bounds). Exposed for the optimizer, which builds
-  /// specialized entries by hand.
+  /// node index, the compiled kernel, the training profile). Exposed for
+  /// the optimizer, which builds specialized entries by hand.
   static void AnalyzeEntry(ModelEntry* entry);
 
  private:

@@ -5,13 +5,14 @@
 
 #include "common/status_or.h"
 #include "flock/model_registry.h"
+#include "ml/dense_kernel.h"
 #include "ml/matrix.h"
 #include "storage/column_vector.h"
 
 namespace flock::flock {
 
 /// Comparison direction for threshold-pushed predicates.
-enum class ThresholdOp { kGt, kGe, kLt, kLe };
+using ml::ThresholdOp;
 
 /// Builds the raw feature matrix for `entry` from SQL argument columns
 /// (one column per graph input, in graph-input order). NULLs become NaN
@@ -32,11 +33,13 @@ Status CheckScoringArity(const ModelEntry& entry, const ml::Matrix& raw);
 StatusOr<std::vector<double>> ScoreBatch(const ModelEntry& entry,
                                          const ml::Matrix& raw);
 
-/// Evaluates `score OP threshold` without materializing full scores when
-/// possible. For boosted tree ensembles this short-circuits tree traversal
-/// using precomputed suffix bounds, and a trailing Sigmoid is folded into
-/// the threshold (logit transform) — the paper's "predicate push-up between
-/// SQL queries and ML models" (§4.1).
+/// Evaluates `score OP threshold` without materializing full scores — the
+/// paper's "predicate push-up between SQL queries and ML models" (§4.1).
+/// Runs on the entry's kernel (`ml::DenseKernel::ScoreThreshold`), which
+/// folds a trailing Sigmoid into the threshold (logit transform) and stops
+/// walking a boosted ensemble's trees for a row once the kernel's suffix
+/// bounds decide its verdict. Graphs the kernel does not compile score
+/// through GraphRuntime up to the Sigmoid's input, then compare.
 StatusOr<std::vector<bool>> ScoreThresholdBatch(const ModelEntry& entry,
                                                 const ml::Matrix& raw,
                                                 double threshold,

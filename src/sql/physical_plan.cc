@@ -49,6 +49,9 @@ void AppendRowKey(const std::vector<ColumnVectorPtr>& cols, size_t r,
 
 namespace {
 
+/// Output rows a nested-loop join materializes between cancellation polls.
+constexpr size_t kPollRows = 4096;
+
 std::string JoinExprs(const std::vector<ExprPtr>& exprs) {
   std::string out;
   for (size_t i = 0; i < exprs.size(); ++i) {
@@ -498,7 +501,13 @@ StatusOr<RecordBatch> NestedLoopJoinOp::ProcessMorsel(const ExecContext& ctx,
   for (size_t c = 0; c < right.num_columns(); ++c) {
     ColumnVector* dst = out.mutable_column(left_width + c);
     const ColumnVector& src = *right.column(c);
-    for (int64_t r : rsel) {
+    for (size_t i = 0; i < rsel.size(); ++i) {
+      // Copying the fanned-out right side is as unbounded as building
+      // it, so it polls too (once per kPollRows output rows).
+      if (i % kPollRows == 0) {
+        FLOCK_RETURN_NOT_OK(ctx.cancel.Check("nested_loop_join"));
+      }
+      const int64_t r = rsel[i];
       if (r < 0) {
         dst->AppendNull();
       } else {

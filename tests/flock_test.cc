@@ -192,6 +192,24 @@ TEST_F(FlockEngineTest, CrossOptimizerReportsRewrites) {
   EXPECT_GT(engine_.models()->num_specializations(), 0u);
 }
 
+TEST_F(FlockEngineTest, ReusedCompressionCountsItsRemovedNodes) {
+  // The second rewrite reuses the specializations the first registered;
+  // it applies the same compressed model, so it reports the same count.
+  const std::string sql =
+      "EXPLAIN SELECT id FROM users WHERE age > 60 AND income > 120 AND " +
+      PredictCall() + " > 0.7";
+  Exec(sql);
+  const auto& stats = engine_.cross_optimizer()->stats();
+  const size_t built = stats.tree_nodes_compressed;
+  const size_t pruned = stats.features_pruned;
+  EXPECT_GT(built, 0u);
+  const size_t specializations = engine_.models()->num_specializations();
+  Exec(sql);
+  EXPECT_EQ(engine_.models()->num_specializations(), specializations);
+  EXPECT_EQ(stats.tree_nodes_compressed, built);
+  EXPECT_EQ(stats.features_pruned, pruned);
+}
+
 TEST_F(FlockEngineTest, ExplainShowsSeparatedFilters) {
   auto r = Exec("EXPLAIN SELECT id FROM users WHERE income > 50 AND " +
                 PredictCall() + " > 0.7");

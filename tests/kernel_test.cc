@@ -11,7 +11,10 @@
 //     across deploys. The flattened tree walk gets its own zoo: an
 //     unbalanced depth-10 forest, single-leaf trees, NaN reaching the
 //     splits, and row counts around the 8-lane group and 256-row block;
-//     malformed trees are rejected at construction.
+//     malformed trees are rejected at construction. The threshold mode
+//     (`ScoreThreshold`, early exit on suffix bounds) must give the verdict
+//     of comparing the full score, for every op, at thresholds equal to
+//     scores, and across the same row counts.
 //
 //  2. Robustness bug-sweep: zero-variance scaler columns no longer divide
 //     by zero, rows missing features score as NaN-imputed instead of
@@ -37,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "flock/model_registry.h"
@@ -439,6 +443,230 @@ TEST(DenseKernelTreeWalkTest, RejectsChildNotAfterParent) {
   DenseKernel kernel(graph);
   EXPECT_FALSE(kernel.ok());
   EXPECT_EQ(kernel.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// 1c. Threshold mode: ScoreThreshold's verdicts against full scores.
+
+using ml::ThresholdOp;
+
+const ThresholdOp kOps[] = {ThresholdOp::kGt, ThresholdOp::kGe,
+                            ThresholdOp::kLt, ThresholdOp::kLe};
+const size_t kThresholdRowCounts[] = {1, 7, 8, 9, 255, 256, 257, 513};
+
+/// A boosted (summed) ensemble over the zoo's inputs; `logistic` adds the
+/// trailing Sigmoid, `with_imputer` false lets NaN reach the splits.
+Pipeline MakeBoostedPipeline(bool logistic, bool with_imputer,
+                             uint64_t seed) {
+  Pipeline pipeline;
+  std::vector<FeatureSpec> specs = NumericSpecs(4);
+  specs.push_back(
+      FeatureSpec{"seg", FeatureKind::kCategorical, {"a", "b", "c"}});
+  pipeline.SetInputs(std::move(specs));
+  pipeline.set_task(ml::ModelTask::kBinaryClassification);
+  Matrix raw = RandomRaw(600, 4, 3, seed);
+  pipeline.FitFeaturizers(raw, with_imputer, /*with_scaler=*/true);
+  Dataset features;
+  features.x = pipeline.Transform(raw);
+  for (size_t r = 0; r < raw.rows(); ++r) {
+    features.y.push_back(
+        raw.at(r, 0) - raw.at(r, 1) + 0.3 * raw.at(r, 4) > 0.5 ? 1.0 : 0.0);
+  }
+  ml::GbtOptions options;
+  options.num_trees = 24;
+  options.max_depth = 4;
+  options.seed = seed;
+  ml::TreeEnsembleModel model = TrainGradientBoosting(features, options);
+  model.logistic = logistic;
+  pipeline.SetTreeModel(std::move(model));
+  return pipeline;
+}
+
+/// `pipeline` with its link function removed: RowScorer on it yields the
+/// Sigmoid's input, which is what the threshold mode compares.
+Pipeline WithoutLink(Pipeline pipeline) {
+  ml::TreeEnsembleModel trees = pipeline.tree_model();
+  if (!trees.trees.empty()) {
+    trees.logistic = false;
+    pipeline.SetTreeModel(std::move(trees));
+  } else {
+    ml::LinearModel linear = pipeline.linear_model();
+    linear.logistic = false;
+    pipeline.SetLinearModel(std::move(linear));
+  }
+  return pipeline;
+}
+
+/// Inserts single-leaf trees at the front, the middle and the back.
+Pipeline WithStumps(Pipeline pipeline) {
+  ml::TreeEnsembleModel model = pipeline.tree_model();
+  ml::Tree stump;
+  stump.nodes.push_back(Leaf(0.375));
+  model.trees.insert(model.trees.begin(), stump);
+  stump.nodes[0].value = -0.125;
+  model.trees.insert(model.trees.begin() + model.trees.size() / 2, stump);
+  model.trees.push_back(stump);
+  pipeline.SetTreeModel(std::move(model));
+  return pipeline;
+}
+
+/// Thresholds to try: the exact scores of some rows (ties), 0 and 1,
+/// values outside (0, 1) and outside every score.
+std::vector<double> ThresholdsFor(const std::vector<double>& scores) {
+  std::vector<double> thresholds = {0.0, 1.0, -0.5, 1.5, 0.5};
+  double lo = 0.0, hi = 0.0;
+  for (size_t r = 0; r < scores.size(); ++r) {
+    if (std::isnan(scores[r])) continue;
+    if (r % 41 == 0) thresholds.push_back(scores[r]);
+    lo = std::min(lo, scores[r]);
+    hi = std::max(hi, scores[r]);
+  }
+  thresholds.push_back(lo - 1.0);
+  thresholds.push_back(hi + 1.0);
+  return thresholds;
+}
+
+/// Scores the first `rows` rows of `all` through `ScoreThreshold` for
+/// every op and threshold, and checks each verdict against the comparison
+/// of the full score (RowScorer, equal to ScoreBatch), against
+/// flock::ScoreThresholdBatch with and without the kernel, and, for a
+/// trailing Sigmoid, against comparing its input with logit(t).
+void ExpectThresholdOracle(const Pipeline& pipeline, const Matrix& all,
+                           size_t rows) {
+  SCOPED_TRACE(std::to_string(rows) + " rows");
+  Matrix raw(rows, all.cols());
+  for (size_t r = 0; r < rows; ++r) {
+    std::copy(all.row(r), all.row(r) + all.cols(), raw.row(r));
+  }
+  flock::ModelEntry entry;
+  entry.pipeline = pipeline;
+  auto graph = pipeline.Compile();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  entry.graph = std::move(graph).value();
+  flock::ModelRegistry::AnalyzeEntry(&entry);
+  const DenseKernel& kernel = *entry.kernel;
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  flock::ModelEntry no_kernel = entry;
+  no_kernel.kernel = nullptr;
+
+  std::vector<double> full = RowScorer(pipeline).ScoreAll(raw);
+  DenseKernelScratch scratch;
+  std::vector<double> batch;
+  ASSERT_TRUE(kernel.ScoreBatch(raw, &scratch, &batch).ok());
+  for (size_t r = 0; r < rows; ++r) {
+    ASSERT_PRED2(BitEq, batch[r], full[r]) << "row " << r;
+  }
+  const bool sigmoid = entry.ends_with_sigmoid;
+  const std::vector<double> z =
+      sigmoid ? RowScorer(WithoutLink(pipeline)).ScoreAll(raw) : full;
+
+  std::vector<bool> verdicts;
+  for (double t : ThresholdsFor(full)) {
+    for (ThresholdOp op : kOps) {
+      SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)) + " t " +
+                   std::to_string(t));
+      ASSERT_TRUE(
+          kernel.ScoreThreshold(raw, op, t, &scratch, &verdicts).ok());
+      ASSERT_EQ(verdicts.size(), rows);
+      auto pushed = flock::ScoreThresholdBatch(entry, raw, t, op);
+      auto fallback = flock::ScoreThresholdBatch(no_kernel, raw, t, op);
+      ASSERT_TRUE(pushed.ok() && fallback.ok());
+      for (size_t r = 0; r < rows; ++r) {
+        bool expected = ml::Compare(full[r], op, t);
+        if (sigmoid && t > 0.0 && t < 1.0) {
+          // Ties are decided on z against logit(t); elsewhere the two
+          // comparisons agree.
+          expected = ml::Compare(z[r], op, std::log(t / (1.0 - t)));
+          if (std::fabs(full[r] - t) > 1e-12) {
+            EXPECT_EQ(expected, ml::Compare(full[r], op, t)) << "row " << r;
+          }
+        }
+        EXPECT_EQ(verdicts[r], expected) << "row " << r;
+        EXPECT_EQ((*pushed)[r], expected) << "row " << r;
+        EXPECT_EQ((*fallback)[r], expected) << "row " << r;
+      }
+    }
+  }
+}
+
+void ExpectThresholdOracleAtAllRowCounts(const Pipeline& pipeline,
+                                         double nan_fraction,
+                                         uint64_t seed) {
+  Matrix raw = RandomRaw(513, 4, 3, seed, nan_fraction);
+  for (size_t rows : kThresholdRowCounts) {
+    ExpectThresholdOracle(pipeline, raw, rows);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(DenseKernelThresholdTest, BoostedTreesWithSigmoid) {
+  ExpectThresholdOracleAtAllRowCounts(
+      MakeBoostedPipeline(/*logistic=*/true, /*with_imputer=*/true, 601),
+      0.1, 603);
+}
+
+TEST(DenseKernelThresholdTest, BoostedTreesWithoutSigmoid) {
+  ExpectThresholdOracleAtAllRowCounts(
+      MakeBoostedPipeline(/*logistic=*/false, /*with_imputer=*/true, 607),
+      0.1, 609);
+}
+
+TEST(DenseKernelThresholdTest, AveragedForest) {
+  ExpectThresholdOracleAtAllRowCounts(MakeZooPipeline("forest", 611), 0.1,
+                                      613);
+}
+
+TEST(DenseKernelThresholdTest, LinearModels) {
+  ExpectThresholdOracleAtAllRowCounts(MakeZooPipeline("linear", 617), 0.1,
+                                      619);
+  ExpectThresholdOracleAtAllRowCounts(MakeZooPipeline("logistic", 621), 0.1,
+                                      623);
+}
+
+TEST(DenseKernelThresholdTest, SingleLeafTrees) {
+  for (bool logistic : {false, true}) {
+    SCOPED_TRACE(logistic ? "sigmoid" : "raw");
+    Pipeline pipeline = WithStumps(
+        MakeBoostedPipeline(logistic, /*with_imputer=*/true, 627));
+    ExpectThresholdOracleAtAllRowCounts(pipeline, 0.1, 629);
+    // Only single leaves: every row is decided before any walk.
+    ml::TreeEnsembleModel model = pipeline.tree_model();
+    model.trees = {model.trees.front(), model.trees.back()};
+    pipeline.SetTreeModel(std::move(model));
+    ExpectThresholdOracleAtAllRowCounts(pipeline, 0.1, 631);
+  }
+}
+
+TEST(DenseKernelThresholdTest, NaNFeaturesAndNaNLeaves) {
+  // No imputer: NaN reaches the splits and goes right.
+  Pipeline pipeline =
+      MakeBoostedPipeline(/*logistic=*/false, /*with_imputer=*/false, 641);
+  ExpectThresholdOracleAtAllRowCounts(pipeline, 0.3, 643);
+  // A NaN leaf makes every sum NaN: no bound decides a row, so each one
+  // walks all trees and compares false.
+  ml::TreeEnsembleModel model = pipeline.tree_model();
+  model.trees.insert(model.trees.begin() + 3,
+                     ml::Tree{{Leaf(std::nan(""))}});
+  pipeline.SetTreeModel(std::move(model));
+  ExpectThresholdOracleAtAllRowCounts(pipeline, 0.3, 647);
+}
+
+TEST(DenseKernelThresholdTest, CancelledTokenStopsScoring) {
+  Pipeline pipeline =
+      MakeBoostedPipeline(/*logistic=*/true, /*with_imputer=*/true, 653);
+  auto graph = pipeline.Compile();
+  ASSERT_TRUE(graph.ok());
+  DenseKernel kernel(*graph);
+  ASSERT_TRUE(kernel.ok());
+  Matrix raw = RandomRaw(300, 4, 3, 659);
+  CancelToken token = CancelToken::Cancellable();
+  token.Cancel();
+  CancelScope scope(token);
+  DenseKernelScratch scratch;
+  std::vector<bool> verdicts;
+  Status status =
+      kernel.ScoreThreshold(raw, ThresholdOp::kGt, 0.5, &scratch, &verdicts);
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
 }
 
 // ---------------------------------------------------------------------------
